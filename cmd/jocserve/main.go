@@ -4,8 +4,7 @@
 // is published at /v1/plan. With -state-dir the service is crash-safe:
 // acknowledged reports go through a CRC-framed fsynced WAL and slot
 // closes publish checksummed snapshot generations, so kill -9 at any
-// byte — including mid-write — recovers to the identical state. The
-// legacy -snapshot mode persists one atomic snapshot per slot.
+// byte — including mid-write — recovers to the identical state.
 //
 // Usage:
 //
@@ -82,7 +81,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		window    = fs.Int("w", 10, "prediction window")
 		commit    = fs.Int("r", 5, "CHC commitment level")
 		slotDur   = fs.Duration("slot", 0, "wall-clock slot length (0 = advance via POST /v1/tick)")
-		snapshot  = fs.String("snapshot", "", "snapshot file; written after every slot, restored on start")
 		stateDir  = fs.String("state-dir", "", "durable state directory (report WAL + snapshot generations); full crash recovery on start")
 		walFsync  = fs.String("wal-fsync", "always", "WAL fsync policy: always, interval or off")
 		snapKeep  = fs.Int("snap-keep", 0, "snapshot generations to retain (0 = 3, minimum 2)")
@@ -167,7 +165,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		Online:         cfg,
 		EstimatorAlpha: *alpha,
 		EstimatorFloor: *floor,
-		SnapshotPath:   *snapshot,
 		StateDir:       *stateDir,
 		WALFsync:       fsyncPol,
 		SnapKeep:       *snapKeep,
@@ -250,9 +247,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *slotDur > 0 {
 		fmt.Fprintf(out, ", ticking every %s", *slotDur)
 	}
-	if *snapshot != "" {
-		fmt.Fprintf(out, ", snapshotting to %s", *snapshot)
-	}
 	if *stateDir != "" {
 		fmt.Fprintf(out, ", durable state in %s", *stateDir)
 	}
@@ -334,25 +328,21 @@ func (c *smokeClient) post(path string, body, out any) error {
 
 // runSmoke is the -smoke self-test: replay a deterministic request trace
 // against a live service over real HTTP — ticker on a mock clock — kill
-// the service at mid-horizon, restore it from the snapshot on disk, and
+// the service at mid-horizon, restore it from its state directory, and
 // compare the final committed trajectory against a golden batch replay
 // over the same empirical demand. Exits non-zero on any divergence.
 func runSmoke(ctx context.Context, out io.Writer, eff *model.Instance, scfg serve.Config, seed uint64) error {
-	if scfg.SnapshotPath == "" && scfg.StateDir == "" {
+	if scfg.StateDir == "" {
 		dir, err := os.MkdirTemp("", "jocserve-smoke-*")
 		if err != nil {
 			return err
 		}
 		defer os.RemoveAll(dir)
-		scfg.SnapshotPath = filepath.Join(dir, "snapshot.json")
-	}
-	persist := scfg.SnapshotPath
-	if persist == "" {
-		persist = scfg.StateDir + string(filepath.Separator)
+		scfg.StateDir = dir
 	}
 	tr := trace.Generate(eff.Demand, seed)
-	fmt.Fprintf(out, "smoke: %s over T=%d N=%d K=%d, %d requests, state %s\n",
-		scfg.Online.Name(), eff.T, eff.N, eff.K, tr.Len(), persist)
+	fmt.Fprintf(out, "smoke: %s over T=%d N=%d K=%d, %d requests, state %s%c\n",
+		scfg.Online.Name(), eff.T, eff.N, eff.K, tr.Len(), scfg.StateDir, filepath.Separator)
 
 	const period = time.Second // mock time; never actually elapses
 	boot := func() (*serve.Controller, *serve.Server, *serve.MockClock, *smokeClient, error) {
@@ -429,11 +419,11 @@ func runSmoke(ctx context.Context, out io.Writer, eff *model.Instance, scfg serv
 	}
 
 	// Kill: shut the service down, drop the controller, and bring a fresh
-	// process-equivalent up from the snapshot on disk.
+	// process-equivalent up from the state directory.
 	if err := shutdown(srv); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "smoke: killed at slot %d, restoring from snapshot\n", killAt)
+	fmt.Fprintf(out, "smoke: killed at slot %d, restoring from the state directory\n", killAt)
 	ctrl, srv, clock, cl, err = boot()
 	if err != nil {
 		return fmt.Errorf("restore: %w", err)

@@ -11,6 +11,7 @@ import (
 
 	"edgecache/internal/fault"
 	"edgecache/internal/model"
+	"edgecache/internal/obs"
 	"edgecache/internal/online"
 	"edgecache/internal/workload"
 )
@@ -58,11 +59,6 @@ type Config struct {
 	// EstimatorFloor is the clamped-decay floor (< 0 selects
 	// workload.DefaultEstimatorFloor; 0 disables).
 	EstimatorFloor float64
-	// SnapshotPath, when non-empty, persists a snapshot envelope there
-	// (atomic rename) after every closed slot; Open restores from it.
-	// Legacy single-file mode: open-slot reports are not durable.
-	// Mutually exclusive with StateDir.
-	SnapshotPath string
 	// StateDir, when non-empty, enables the crash-safe durability layer
 	// (DESIGN.md §14): every acknowledged Ingest batch is written to an
 	// append-only WAL before the acknowledgement, snapshots are kept as
@@ -102,38 +98,71 @@ func (cfg *Config) snapKeep() int {
 	return cfg.SnapKeep
 }
 
+// Always-on lock instruments (DESIGN.md §14): how long Ingest waits for
+// Controller.mu, and how long a tick holds it to close the slot.
+var (
+	mIngestLockWait = obs.Default.Timer("serve.ingest_lock_wait")
+	mTickClose      = obs.Default.Timer("serve.tick_close")
+)
+
 // Controller is the serving-side state machine around an online.Stream:
 // it owns the live demand tensor (filled slot by slot from ingested
 // requests), the oracle-free forecaster reading it, and the snapshot/WAL
-// persistence. All methods are safe for concurrent use; Tick serialises
-// against ingestion so a slot's rates are final when the stream closes
-// it.
+// persistence. All methods are safe for concurrent use.
+//
+// Two locks split ingestion from solving. mu guards the ingest side: the
+// open slot's accumulator, the WAL and the counters. tick serialises
+// ticks and guards the solve side: the stream, the live tensor and the
+// spare accumulator. A tick holds mu only to close the slot (close
+// marker, WAL rotation, accumulator swap), then solves and publishes
+// under tick alone, so Ingest books into the next slot while the closed
+// one is being solved. Lock order: tick before mu.
 type Controller struct {
+	tick sync.Mutex
 	mu   sync.Mutex
 	base *model.Instance // caller's topology; its demand tensor is ignored
 	in   *model.Instance // live instance: base with the realised tensor
-	live *model.Demand
 	cfg  Config
 
-	stream  *online.Stream
-	pending [][]float64 // [n][m*K+k] accumulated counts for the open slot
-	total   int64       // requests ingested over the controller's lifetime
+	// Solve side (tick).
+	live   *model.Demand
+	stream *online.Stream
+	spare  [][]float64 // zeroed accumulator swapped in at the next close
 
-	// Durability state (StateDir mode).
-	wal            *wal
-	walErr         error  // sticky: any WAL write failure poisons the controller
-	lastSeq        uint64 // last appended WAL sequence number
-	walSeqClosed   uint64 // sequence of the last close marker (envelope watermark)
-	ingestedClosed int64  // total at that close (envelope Ingested)
-	openReports    int64  // report entries booked into the open slot
-	closed         bool
+	// Ingest side (mu).
+	open        int         // the slot Ingest books into
+	pending     [][]float64 // [n][m*K+k] accumulated counts for the open slot
+	total       int64       // requests ingested over the controller's lifetime
+	openReports int64       // report entries booked into the open slot
+	wal         *wal
+	err         error  // sticky: a failed WAL write or slot solve poisons the controller
+	lastSeq     uint64 // last appended WAL sequence number
+	closed      bool
+
+	// Boundary bookkeeping, written by a tick under both locks and so
+	// readable under either: the sequence of the last close marker (the
+	// envelope watermark) and the total at that close (envelope Ingested).
+	walSeqClosed   uint64
+	ingestedClosed int64
+
+	// tickHook, when set, is called at each phase of a tick's tail
+	// (tests park a tick there).
+	tickHook func(tickPhase)
 }
+
+// tickPhase names the points of a tick's tail after the slot closed.
+type tickPhase int
+
+const (
+	phaseSolve   tickPhase = iota // mu released; the window solve is next
+	phasePublish                  // solved; the generation publish is next
+)
 
 // New starts a fresh controller over the topology of base (its demand
 // tensor is replaced by an empty realised tensor — a live controller has
 // no future to peek at). The start-up windows are solved immediately, so
 // the slot-0 plan is published on return. New never touches disk; use
-// Open for the persistent modes.
+// Open for the persistent mode.
 func New(ctx context.Context, base *model.Instance, cfg Config) (*Controller, error) {
 	c, f, err := prepare(base, cfg)
 	if err != nil {
@@ -146,37 +175,18 @@ func New(ctx context.Context, base *model.Instance, cfg Config) (*Controller, er
 	return c, nil
 }
 
-// Open restores the controller from persistent state when any exists and
-// starts fresh otherwise — so a killed-and-restarted service re-runs the
-// same command line and continues where it stopped. With StateDir set
-// this is full crash recovery: newest verifiable snapshot generation
-// (falling back past torn or bit-flipped ones), idempotent WAL replay
-// beyond its watermark, torn-tail truncation, and a repair snapshot when
-// the newest generation was missing or damaged.
+// Open restores the controller from its state directory when one holds
+// state and starts fresh otherwise — so a killed-and-restarted service
+// re-runs the same command line and continues where it stopped. With
+// StateDir set this is full crash recovery: newest verifiable snapshot
+// generation (falling back past torn or bit-flipped ones), idempotent WAL
+// replay beyond its watermark, torn-tail truncation, and a repair
+// snapshot when the newest generation was missing or damaged. Without
+// StateDir, Open is New.
 func Open(ctx context.Context, base *model.Instance, cfg Config) (*Controller, error) {
-	if cfg.StateDir != "" {
-		if cfg.SnapshotPath != "" {
-			return nil, fmt.Errorf("serve: Config.StateDir and Config.SnapshotPath are mutually exclusive")
-		}
-		return openDurable(ctx, base, cfg)
-	}
-	if cfg.SnapshotPath == "" {
+	if cfg.StateDir == "" {
 		return New(ctx, base, cfg)
 	}
-	env, err := LoadSnapshot(cfg.SnapshotPath)
-	if err != nil {
-		return nil, err
-	}
-	if env == nil {
-		return New(ctx, base, cfg)
-	}
-	return Restore(ctx, base, cfg, env)
-}
-
-// openDurable is Open's StateDir path: plan recovery from disk, rebuild
-// the in-memory controller, replay the WAL, reopen it for appending, and
-// repair the generation chain if the newest one was lost.
-func openDurable(ctx context.Context, base *model.Instance, cfg Config) (*Controller, error) {
 	if err := os.MkdirAll(cfg.StateDir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: create state dir: %w", err)
 	}
@@ -196,31 +206,27 @@ func openDurable(ctx context.Context, base *model.Instance, cfg Config) (*Contro
 	if rs.env != nil {
 		c.walSeqClosed = rs.env.WalSeq
 	}
-	c.ingestedClosed = c.total
 
 	// Idempotent replay: every record past the watermark, in sequence.
 	// Reports re-validate (they were validated before their WAL append,
 	// so a failure here means disk-level damage the CRC missed) and
 	// closes re-run the deterministic slot commit.
 	for _, rec := range rs.records {
+		if rec.Slot != c.open {
+			return nil, fmt.Errorf("serve: wal record %d (%s) is for slot %d but slot %d is open", rec.Seq, rec.Kind, rec.Slot, c.open)
+		}
 		switch rec.Kind {
 		case walKindReports:
-			if rec.Slot != c.stream.Slot() {
-				return nil, fmt.Errorf("serve: wal record %d reports for slot %d but slot %d is open", rec.Seq, rec.Slot, c.stream.Slot())
-			}
 			if rerr := c.validateLocked(rec.Reqs); rerr != nil {
 				return nil, fmt.Errorf("serve: wal record %d: %w", rec.Seq, rerr)
 			}
 			c.applyLocked(rec.Reqs)
 		case walKindClose:
-			if rec.Slot != c.stream.Slot() {
-				return nil, fmt.Errorf("serve: wal record %d closes slot %d but slot %d is open", rec.Seq, rec.Slot, c.stream.Slot())
-			}
-			if _, err := c.closeSlotLocked(ctx); err != nil {
+			t, buf := c.swapOpenLocked()
+			if _, err := c.commitSlot(ctx, t, buf); err != nil {
 				return nil, fmt.Errorf("serve: replay close of slot %d: %w", rec.Slot, err)
 			}
 			c.walSeqClosed = rec.Seq
-			c.ingestedClosed = c.total
 		default:
 			return nil, fmt.Errorf("serve: wal record %d has unknown kind %q", rec.Seq, rec.Kind)
 		}
@@ -228,12 +234,7 @@ func openDurable(ctx context.Context, base *model.Instance, cfg Config) (*Contro
 	mWALReplayed.Add(int64(len(rs.records)))
 	c.lastSeq = rs.lastSeq
 
-	seg := rs.appendSeg
-	segLen := rs.appendLen
-	if rs.genesis {
-		seg, segLen = 0, 0
-	}
-	w, err := openWALSegment(segPath(cfg.StateDir, seg), segLen, cfg.WALFsync, cfg.FsyncEvery, cfg.DiskFaults)
+	w, err := openWALSegment(segPath(cfg.StateDir, rs.appendSeg), rs.appendLen, cfg.WALFsync, cfg.FsyncEvery, cfg.DiskFaults)
 	if err != nil {
 		return nil, err
 	}
@@ -242,9 +243,11 @@ func openDurable(ctx context.Context, base *model.Instance, cfg Config) (*Contro
 	// Repair the generation chain: at genesis publish generation 0, and
 	// after a fallback (or a close replayed past the newest generation)
 	// re-publish the generation the crash destroyed — so the next startup
-	// does not depend on the same fallback chain again.
-	if rs.genesis || rs.fallbacks > 0 || c.stream.Slot() != rs.gen {
-		if err := saveGeneration(cfg.StateDir, c.envelopeLocked(), cfg.DiskFaults); err != nil {
+	// does not depend on the same fallback chain again. A newly created
+	// append segment forces the save too: its directory sync makes the
+	// segment's entry durable before any report is acknowledged into it.
+	if rs.newSeg || rs.fallbacks > 0 || c.open != rs.gen {
+		if err := saveGeneration(cfg.StateDir, c.envelope(), cfg.DiskFaults); err != nil {
 			c.wal.close()
 			return nil, err
 		}
@@ -285,11 +288,12 @@ func Restore(ctx context.Context, base *model.Instance, cfg Config, env *Envelop
 			}
 		}
 	}
-	c.total = env.Ingested
+	c.total, c.ingestedClosed = env.Ingested, env.Ingested
 	c.stream, err = online.RestoreStream(ctx, c.in, f, cfg.Online, env.Controller)
 	if err != nil {
 		return nil, err
 	}
+	c.open = c.stream.Slot()
 	return c, nil
 }
 
@@ -312,9 +316,11 @@ func prepare(base *model.Instance, cfg Config) (*Controller, workload.Forecaster
 		live:    live,
 		cfg:     cfg,
 		pending: make([][]float64, base.N),
+		spare:   make([][]float64, base.N),
 	}
 	for n := range c.pending {
 		c.pending[n] = make([]float64, base.Classes[n]*base.K)
+		c.spare[n] = make([]float64, base.Classes[n]*base.K)
 	}
 	return c, workload.Corrupt(est, cfg.Faults.Corruptor(live)), nil
 }
@@ -361,17 +367,22 @@ func (c *Controller) applyLocked(reqs []Request) {
 // all-or-nothing: validation happens before any state changes, and in
 // StateDir mode the batch is durably logged to the WAL before it is
 // applied — an acknowledged batch survives kill -9 at any later byte.
+// Ingest takes only mu, so it never waits for a tick's solve or
+// snapshot publish: a batch that arrives while slot t is being solved is
+// booked into slot t+1.
 func (c *Controller) Ingest(reqs []Request) (slot int, err error) {
+	start := time.Now()
 	c.mu.Lock()
+	mIngestLockWait.Observe(time.Since(start))
 	defer c.mu.Unlock()
 	if c.closed {
 		return 0, ErrClosed
 	}
-	if c.walErr != nil {
-		return 0, fmt.Errorf("serve: wal unhealthy, ingestion refused: %w", c.walErr)
+	if c.err != nil {
+		return 0, fmt.Errorf("serve: controller unhealthy, ingestion refused: %w", c.err)
 	}
-	if c.stream.Done() {
-		return c.stream.Slot(), fmt.Errorf("serve: horizon complete, ingestion closed")
+	if c.open >= c.base.T {
+		return c.open, fmt.Errorf("serve: horizon complete, ingestion closed")
 	}
 	if rerr := c.validateLocked(reqs); rerr != nil {
 		return 0, rerr
@@ -379,26 +390,39 @@ func (c *Controller) Ingest(reqs []Request) (slot int, err error) {
 	if c.cfg.PendingLimit > 0 && c.openReports+int64(len(reqs)) > c.cfg.PendingLimit {
 		return 0, fmt.Errorf("%w: %d booked, %d offered, limit %d", ErrBackpressure, c.openReports, len(reqs), c.cfg.PendingLimit)
 	}
-	t := c.stream.Slot()
 	if c.wal != nil {
-		rec := walRecord{Seq: c.lastSeq + 1, Kind: walKindReports, Slot: t, Reqs: reqs}
+		rec := walRecord{Seq: c.lastSeq + 1, Kind: walKindReports, Slot: c.open, Reqs: reqs}
 		if err := c.wal.append(rec, false); err != nil {
-			c.walErr = err
+			c.err = err
 			return 0, err
 		}
 		c.lastSeq++
 	}
 	c.applyLocked(reqs)
-	return t, nil
+	return c.open, nil
 }
 
-// closeSlotLocked flushes the open slot's accumulated counts into the
-// live tensor and commits the slot through the stream. Shared by Tick
-// and WAL replay — both sides of the restart-equivalence contract run
-// exactly this code.
-func (c *Controller) closeSlotLocked(ctx context.Context) (model.SlotDecision, error) {
-	t := c.stream.Slot()
-	for n, flat := range c.pending {
+// swapOpenLocked closes the open slot on the ingest side: the filled
+// accumulator is handed out for the solve, the zeroed spare takes its
+// place, and Ingest moves on to the next slot (backpressure lifts here).
+// c.mu must be held, and c.tick too unless the controller is not yet
+// shared (WAL replay).
+func (c *Controller) swapOpenLocked() (t int, buf [][]float64) {
+	t, buf = c.open, c.pending
+	c.pending, c.spare = c.spare, nil
+	c.open++
+	c.openReports = 0
+	c.ingestedClosed = c.total
+	return t, buf
+}
+
+// commitSlot writes the closed slot's accumulated counts into the live
+// tensor as its final rates, recycles the zeroed buffer as the spare,
+// and commits the slot through the stream. Shared by Tick and WAL
+// replay — both sides of the restart-equivalence contract run exactly
+// this code. c.tick must be held once the controller is shared.
+func (c *Controller) commitSlot(ctx context.Context, t int, buf [][]float64) (model.SlotDecision, error) {
+	for n, flat := range buf {
 		for i, v := range flat {
 			if v != 0 {
 				c.live.Set(t, n, i/c.base.K, i%c.base.K, v)
@@ -406,13 +430,8 @@ func (c *Controller) closeSlotLocked(ctx context.Context) (model.SlotDecision, e
 			}
 		}
 	}
-	dec, err := c.stream.CloseSlot(ctx)
-	if err == nil {
-		// The slot is closed in every mode — backpressure lifts here, not
-		// in Tick's persistence tail.
-		c.openReports = 0
-	}
-	return dec, err
+	c.spare = buf
+	return c.stream.CloseSlot(ctx)
 }
 
 // TickResult is one closed slot's outcome.
@@ -429,53 +448,52 @@ type TickResult struct {
 
 // Tick closes the open slot: the accumulated request counts become the
 // slot's final empirical rates (requests per slot), the stream commits
-// the slot's decision against them and advances, and — when configured —
-// the state is persisted before Tick returns. In StateDir mode the
-// durable ordering is: close marker appended and fsynced to the WAL
-// (regardless of fsync policy), then the new generation published, then
-// the WAL rotated and old state pruned; a crash between any two of those
-// steps recovers to the identical post-Tick state by replaying the close
-// marker from an older generation.
+// the slot's decision against them and advances, and in StateDir mode
+// the next snapshot generation is published before Tick returns.
+//
+// The close happens first, in a short critical section on mu: the close
+// marker is appended and fsynced to the WAL (regardless of fsync policy),
+// the WAL rotates to the next slot's segment, and the accumulator is
+// swapped. From then on the close is durable and Ingest books into the
+// next slot; the solve and the publish run under the tick lock only. A
+// crash anywhere after the marker recovers to the identical post-Tick
+// state by replaying it from an older generation (DESIGN.md §14).
+//
+// Because the close is durable before the solve starts, a tick is not
+// cancellable: ctx contributes its values (span tracing), not its
+// deadline. A solve that fails anyway poisons the controller like a
+// failed WAL write — Healthy reports it and a restart replays the close.
 func (c *Controller) Tick(ctx context.Context) (*TickResult, error) {
+	c.tick.Lock()
+	defer c.tick.Unlock()
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, ErrClosed
-	}
-	if c.walErr != nil {
-		return nil, fmt.Errorf("serve: wal unhealthy, tick refused: %w", c.walErr)
-	}
-	if c.stream.Done() {
-		return nil, fmt.Errorf("serve: horizon complete at slot %d", c.stream.Slot())
-	}
-	t := c.stream.Slot()
-	dec, err := c.closeSlotLocked(ctx)
+	start := time.Now()
+	t, buf, prev, err := c.closeSlotLocked()
+	mTickClose.Observe(time.Since(start))
+	c.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	if c.wal != nil {
-		rec := walRecord{Seq: c.lastSeq + 1, Kind: walKindClose, Slot: t}
-		if err := c.wal.append(rec, true); err != nil {
-			// The in-memory stream advanced but the close is not durable:
-			// continuing would let acknowledged state diverge from what a
-			// recovery rebuilds. Poison the controller; /readyz goes red.
-			c.walErr = err
-			return nil, err
-		}
-		c.lastSeq++
-		c.walSeqClosed = c.lastSeq
-		c.ingestedClosed = c.total
-		if err := c.saveAndRotateLocked(); err != nil {
+	if prev != nil {
+		// The forced marker append already synced every record of the
+		// previous segment; closing it only releases the file.
+		_ = prev.close()
+	}
+	c.hook(phaseSolve)
+	dec, err := c.commitSlot(context.WithoutCancel(ctx), t, buf)
+	if err != nil {
+		c.poison(err)
+		return nil, err
+	}
+	if c.cfg.StateDir != "" {
+		c.hook(phasePublish)
+		if err := c.publish(); err != nil {
 			if errors.Is(err, fault.ErrCrash) {
-				c.walErr = err
+				c.poison(err)
 			}
 			// A failed generation save (other than an injected crash) is
 			// not fatal: the close marker is durable, so recovery from an
-			// older generation replays it. The next Tick retries the save.
-			return nil, err
-		}
-	} else if c.cfg.SnapshotPath != "" {
-		if err := SaveSnapshot(c.cfg.SnapshotPath, c.envelopeLocked()); err != nil {
+			// older generation replays it. The next Tick saves again.
 			return nil, err
 		}
 	}
@@ -488,31 +506,80 @@ func (c *Controller) Tick(ctx context.Context) (*TickResult, error) {
 	}, nil
 }
 
-// saveAndRotateLocked publishes the boundary generation, rotates the WAL
-// to the segment named after it, and prunes; c.mu must be held and the
-// close marker must already be durable.
-func (c *Controller) saveAndRotateLocked() error {
-	env := c.envelopeLocked()
-	if err := saveGeneration(c.cfg.StateDir, env, c.cfg.DiskFaults); err != nil {
+// closeSlotLocked is a tick's critical section on mu (DESIGN.md §14,
+// steps 1–3): close marker, rotation to a segment whose directory entry
+// is synced before any report can be acknowledged into it, accumulator
+// swap. It returns the closed slot, its filled accumulator and the
+// previous WAL segment for the caller to close off the lock. c.tick and
+// c.mu must be held.
+func (c *Controller) closeSlotLocked() (t int, buf [][]float64, prev *wal, err error) {
+	switch {
+	case c.closed:
+		return 0, nil, nil, ErrClosed
+	case c.err != nil:
+		return 0, nil, nil, fmt.Errorf("serve: controller unhealthy, tick refused: %w", c.err)
+	case c.open >= c.base.T:
+		return 0, nil, nil, fmt.Errorf("serve: horizon complete at slot %d", c.open)
+	}
+	if c.wal != nil {
+		rec := walRecord{Seq: c.lastSeq + 1, Kind: walKindClose, Slot: c.open}
+		if err := c.wal.append(rec, true); err != nil {
+			// Nothing advanced in memory, but a torn or failed marker leaves
+			// the WAL tail undefined: refuse further appends until a restart
+			// recovers from disk.
+			c.err = err
+			return 0, nil, nil, err
+		}
+		c.lastSeq++
+		// The marker is durable: from here a failure to rotate must also
+		// stop acknowledgements, or memory would run ahead of the WAL.
+		next, err := openWALSegment(segPath(c.cfg.StateDir, c.open+1), 0, c.cfg.WALFsync, c.cfg.FsyncEvery, c.cfg.DiskFaults)
+		if err == nil {
+			if err = syncDir(c.cfg.StateDir); err != nil {
+				next.close()
+			}
+		}
+		if err != nil {
+			c.err = err
+			return 0, nil, nil, err
+		}
+		prev, c.wal = c.wal, next
+		c.walSeqClosed = c.lastSeq
+	}
+	t, buf = c.swapOpenLocked()
+	return t, buf, prev, nil
+}
+
+// publish saves the boundary generation and prunes; c.tick must be held
+// and the close marker must already be durable.
+func (c *Controller) publish() error {
+	if err := saveGeneration(c.cfg.StateDir, c.envelope(), c.cfg.DiskFaults); err != nil {
 		return err
 	}
-	if err := c.wal.close(); err != nil {
-		return err
-	}
-	w, err := openWALSegment(segPath(c.cfg.StateDir, env.Slot), 0, c.cfg.WALFsync, c.cfg.FsyncEvery, c.cfg.DiskFaults)
-	if err != nil {
-		return err
-	}
-	c.wal = w
 	return pruneStateDir(c.cfg.StateDir, c.cfg.snapKeep())
 }
 
-// envelopeLocked assembles the persistence envelope; c.mu must be held.
-// An envelope always describes the last slot boundary: in StateDir mode
-// Ingested and WalSeq come from the boundary bookkeeping so open-slot
-// reports (which live in the WAL, not the envelope) are never counted as
-// covered.
-func (c *Controller) envelopeLocked() *Envelope {
+// poison makes err sticky: Ingest and Tick refuse from now on and
+// Healthy reports it.
+func (c *Controller) poison(err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err == nil {
+		c.err = err
+	}
+}
+
+func (c *Controller) hook(p tickPhase) {
+	if c.tickHook != nil {
+		c.tickHook(p)
+	}
+}
+
+// envelope assembles the persistence envelope; c.tick must be held. An
+// envelope always describes the last slot boundary: Ingested and WalSeq
+// come from the boundary bookkeeping, so open-slot reports (which live
+// in the WAL, not the envelope) are never counted as covered.
+func (c *Controller) envelope() *Envelope {
 	slot := c.stream.Slot()
 	rows := make([][][]float64, slot)
 	for t := 0; t < slot; t++ {
@@ -521,41 +588,42 @@ func (c *Controller) envelopeLocked() *Envelope {
 			rows[t][n] = c.live.CopySlot(nil, t, n)
 		}
 	}
-	env := &Envelope{
+	return &Envelope{
 		FormatVersion: SnapshotFormatVersion,
 		Algorithm:     c.cfg.Online.Name(),
 		Slot:          slot,
-		Ingested:      c.total,
+		Ingested:      c.ingestedClosed,
+		WalSeq:        c.walSeqClosed,
 		Rows:          rows,
 		Controller:    c.stream.Snapshot(),
 	}
-	if c.cfg.StateDir != "" {
-		env.Ingested = c.ingestedClosed
-		env.WalSeq = c.walSeqClosed
-	}
-	return env
 }
 
 // Snapshot returns the controller's persistence envelope (deep copy).
 func (c *Controller) Snapshot() *Envelope {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.envelopeLocked()
+	c.tick.Lock()
+	defer c.tick.Unlock()
+	return c.envelope()
 }
 
-// Healthy returns nil while the durability layer is writable, and the
-// sticky WAL error once any append failed — from then on Ingest and Tick
-// refuse to run (acknowledging non-durable state would break the
-// recovery contract) and /readyz reports the controller unready.
+// Healthy returns nil while the controller can keep its durability
+// contract, and the sticky error once a WAL append or a slot solve
+// failed — from then on Ingest and Tick refuse to run (acknowledging
+// state a recovery would not rebuild would break the contract) and
+// /readyz reports the controller unready. Healthy never waits for a
+// tick's solve.
 func (c *Controller) Healthy() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.walErr
+	return c.err
 }
 
-// Close releases the WAL. Idempotent and safe to race with in-flight
-// calls; operations after Close return ErrClosed.
+// Close releases the WAL once any in-flight tick has finished.
+// Idempotent and safe to race with in-flight calls; operations after
+// Close return ErrClosed.
 func (c *Controller) Close() error {
+	c.tick.Lock()
+	defer c.tick.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -582,8 +650,8 @@ type Plan struct {
 // Plan returns the provisionally published decision for the open slot.
 // The plans are deep copies, safe to hand to encoders.
 func (c *Controller) Plan() Plan {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.tick.Lock()
+	defer c.tick.Unlock()
 	slot, x, y := c.stream.Plan()
 	p := Plan{Slot: slot, Horizon: c.base.T, Done: c.stream.Done()}
 	if x != nil {
@@ -604,30 +672,34 @@ type Stats struct {
 	Ingested int64 `json:"ingested"`
 }
 
-// Stats returns the live counters.
+// Stats returns the live counters. Like Plan, Trajectory, Result and
+// Done it reads the stream, so it waits for an in-flight tick to finish.
 func (c *Controller) Stats() Stats {
+	c.tick.Lock()
+	defer c.tick.Unlock()
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	total := c.total
+	c.mu.Unlock()
 	return Stats{
 		StreamStats: c.stream.Stats(),
 		Slot:        c.stream.Slot(),
 		Horizon:     c.base.T,
 		Done:        c.stream.Done(),
-		Ingested:    c.total,
+		Ingested:    total,
 	}
 }
 
 // Done reports whether every slot of the horizon has been closed.
 func (c *Controller) Done() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.tick.Lock()
+	defer c.tick.Unlock()
 	return c.stream.Done()
 }
 
 // Trajectory returns a deep copy of the committed decisions so far.
 func (c *Controller) Trajectory() model.Trajectory {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.tick.Lock()
+	defer c.tick.Unlock()
 	traj := c.stream.Trajectory()
 	out := make(model.Trajectory, len(traj))
 	for t, dec := range traj {
@@ -638,8 +710,8 @@ func (c *Controller) Trajectory() model.Trajectory {
 
 // Result assembles the completed run (errors while slots remain open).
 func (c *Controller) Result() (*online.Result, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.tick.Lock()
+	defer c.tick.Unlock()
 	return c.stream.Result()
 }
 

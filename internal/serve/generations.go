@@ -11,9 +11,10 @@ import (
 
 // State-directory layout (DESIGN.md §14). Generation g is the snapshot
 // taken when slot g became the open slot (so gen g covers the closed
-// slots [0, g)); segment g is the WAL file opened right after gen g was
-// published and receives every record from slot g onward until the next
-// rotation. Sequence numbers run monotonically across segments.
+// slots [0, g)). Segment g is the WAL file opened when slot g-1 closes,
+// right after that slot's close marker and before generation g exists;
+// it receives every record from slot g onward until the next rotation.
+// Sequence numbers run monotonically across segments.
 //
 //	state/
 //	  snap.000016.json   generation 16 (open slot 16 at save time)
@@ -166,9 +167,9 @@ func loadGeneration(dir string, g int) (*Envelope, error) {
 
 // pruneStateDir deletes generations beyond the newest keep and every
 // WAL segment no surviving generation can need. Segment s holds the
-// close markers for slots [s, s′) where s′ is the next existing segment;
-// recovery from the oldest kept generation G replays closes ≥ G, so s is
-// dead only when s′ ≤ G. The live (final) segment is never deleted —
+// close markers for slots [s, s′) where s′ is the next existing segment
+// (created right after slot s′-1's marker); recovery from the oldest
+// kept generation G replays closes ≥ G, so s is dead only when s′ ≤ G. The live (final) segment is never deleted —
 // its records run past every generation's watermark. Prune failures are
 // returned but harmless: stale files only cost disk and are re-pruned
 // on the next rotation.

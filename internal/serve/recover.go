@@ -16,9 +16,9 @@ type recoveredState struct {
 
 	appendSeg int   // segment to reopen for appending
 	appendLen int64 // good-prefix length to truncate that segment to
+	newSeg    bool  // the append segment does not exist yet (as at genesis)
 
-	fallbacks int  // generations skipped as corrupt/unreadable
-	genesis   bool // the directory held no state at all
+	fallbacks int // generations skipped as corrupt/unreadable
 }
 
 // recoverState scans a state directory and plans recovery
@@ -38,8 +38,9 @@ func recoverState(dir string) (*recoveredState, error) {
 	if err != nil {
 		return nil, err
 	}
-	rs := &recoveredState{gen: -1, genesis: len(gens) == 0 && len(segs) == 0}
-	if rs.genesis {
+	rs := &recoveredState{gen: -1}
+	if len(gens) == 0 && len(segs) == 0 {
+		rs.newSeg = true // genesis: the directory holds no state at all
 		return rs, nil
 	}
 
@@ -100,10 +101,9 @@ func recoverState(dir string) (*recoveredState, error) {
 		}
 	}
 	if len(segs) == 0 {
-		// A generation exists but its post-save segment was never created
-		// (crash between publish and rotation): appending starts a fresh
-		// segment named after the generation.
-		rs.appendSeg, rs.appendLen = rs.gen, 0
+		// A generation exists but no segment does: appending starts a
+		// fresh segment named after the generation.
+		rs.appendSeg, rs.appendLen, rs.newSeg = rs.gen, 0, true
 	}
 	if len(rs.records) > 0 && rs.records[0].Seq != watermark+1 {
 		return nil, fmt.Errorf("serve: wal starts at sequence %d but the snapshot watermark is %d: records past the snapshot were pruned", rs.records[0].Seq, watermark)

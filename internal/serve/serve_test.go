@@ -123,7 +123,7 @@ func TestControllerGoldenReplay(t *testing.T) {
 }
 
 // TestControllerRestartEquivalence is the service-level differential
-// restart test: a controller persisting snapshots to disk, killed after
+// restart test: a controller persisting to a state directory, killed after
 // a tick and reopened from the same command line (Open), must finish
 // with a result DeepEqual to an uninterrupted controller's — including
 // under a fault schedule with one solver fault consumed before the kill
@@ -165,7 +165,7 @@ func TestControllerRestartEquivalence(t *testing.T) {
 			cfg := Config{
 				Online:         ocfg,
 				EstimatorFloor: -1,
-				SnapshotPath:   filepath.Join(t.TempDir(), "jocserve.snapshot.json"),
+				StateDir:       t.TempDir(),
 				Faults:         tc.sched,
 			}
 			killed, err := Open(ctx, base, cfg)
@@ -179,7 +179,7 @@ func TestControllerRestartEquivalence(t *testing.T) {
 				}
 			}
 			// The killed controller is dropped here; Open with the same
-			// configuration must resume from the snapshot on disk.
+			// configuration must resume from the state on disk.
 			restored, err := Open(ctx, base, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -205,44 +205,44 @@ func TestControllerRestartEquivalence(t *testing.T) {
 	}
 }
 
-// TestOpenStartsFreshWithoutSnapshot checks Open's fresh-start path: no
-// file at SnapshotPath means a new controller at slot 0.
+// TestOpenStartsFreshWithoutSnapshot checks Open's fresh-start path: an
+// empty state directory means a new controller at slot 0.
 func TestOpenStartsFreshWithoutSnapshot(t *testing.T) {
 	base := testInstance(t)
 	cfg := Config{
 		Online:         online.RHC(4),
 		EstimatorFloor: -1,
-		SnapshotPath:   filepath.Join(t.TempDir(), "absent.json"),
+		StateDir:       filepath.Join(t.TempDir(), "absent"),
 	}
 	c, err := Open(context.Background(), base, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
 	if got := c.Stats().Slot; got != 0 {
 		t.Fatalf("fresh Open starts at slot %d", got)
 	}
 }
 
 // TestSnapshotFormatGuards checks the on-disk format gate: a foreign
-// format version and a missing controller block are rejected; a missing
-// file is the nil fresh-start signal.
+// format version and a missing controller block are rejected; an empty
+// state directory is the fresh-start signal.
 func TestSnapshotFormatGuards(t *testing.T) {
 	dir := t.TempDir()
-	if env, err := LoadSnapshot(filepath.Join(dir, "missing.json")); env != nil || err != nil {
-		t.Fatalf("missing file: got (%v, %v), want (nil, nil)", env, err)
+	if rs, err := recoverState(dir); err != nil || !rs.newSeg || rs.env != nil {
+		t.Fatalf("empty state dir: got (%+v, %v), want a genesis plan", rs, err)
 	}
-	path := filepath.Join(dir, "snap.json")
-	if err := SaveSnapshot(path, &Envelope{FormatVersion: SnapshotFormatVersion + 1}); err != nil {
+	if err := saveGeneration(dir, &Envelope{FormatVersion: SnapshotFormatVersion + 1}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSnapshot(path); err == nil {
-		t.Fatal("LoadSnapshot accepted a foreign format version")
+	if _, err := loadGeneration(dir, 0); err == nil {
+		t.Fatal("loadGeneration accepted a foreign format version")
 	}
-	if err := SaveSnapshot(path, &Envelope{FormatVersion: SnapshotFormatVersion}); err != nil {
+	if err := saveGeneration(dir, &Envelope{FormatVersion: SnapshotFormatVersion}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSnapshot(path); err == nil {
-		t.Fatal("LoadSnapshot accepted an envelope without controller state")
+	if _, err := loadGeneration(dir, 0); err == nil {
+		t.Fatal("loadGeneration accepted an envelope without controller state")
 	}
 }
 

@@ -49,7 +49,7 @@ type ServerConfig struct {
 //	GET  /v1/trajectory  committed decisions so far
 //	GET  /v1/healthz     liveness: slot, completion and degradation state
 //	GET  /v1/readyz      readiness: 503 until recovery completes and
-//	                     while the WAL is unhealthy
+//	                     while the controller is poisoned
 //
 // Every handler runs behind panic-recovery middleware (a handler panic
 // becomes a 500 plus the serve.handler_panics counter, not a process
@@ -262,13 +262,12 @@ func (s *Server) tickLoop(ctx context.Context, ticker Ticker) {
 			mTicksMissed.Add(int64(missed))
 		}
 		for i := 0; i < n; i++ {
-			if ctrl.Done() {
+			// A started tick runs to completion (its close is durable
+			// before the solve), so stop between ticks on shutdown.
+			if ctx.Err() != nil || ctrl.Done() {
 				return
 			}
 			if _, err := ctrl.Tick(ctx); err != nil {
-				if ctx.Err() != nil {
-					return
-				}
 				// A failed tick leaves the slot to the next period's retry
 				// (transient snapshot I/O) rather than killing the service.
 				break
@@ -476,8 +475,8 @@ type Health struct {
 	// Recovering is true while the asynchronous Boot has not delivered a
 	// controller yet.
 	Recovering bool `json:"recovering,omitempty"`
-	// WALError surfaces the sticky durability failure poisoning the
-	// controller, if any.
+	// WALError surfaces the sticky failure (a WAL write or a slot solve)
+	// poisoning the controller, if any.
 	WALError string `json:"walError,omitempty"`
 }
 

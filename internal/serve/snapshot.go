@@ -2,11 +2,8 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/crc32"
-	"io/fs"
-	"os"
 
 	"edgecache/internal/online"
 )
@@ -15,8 +12,8 @@ import (
 // writes. Version 2 added the WalSeq watermark and the Checksum field;
 // version-1 envelopes (pre-durability) are still read, without checksum
 // verification. Bump on any incompatible change to Envelope or to
-// online.StreamSnapshot; Load rejects foreign versions loudly instead of
-// mis-restoring.
+// online.StreamSnapshot; recovery rejects foreign versions loudly instead
+// of mis-restoring.
 const SnapshotFormatVersion = 2
 
 // Envelope is the on-disk snapshot: the controller state plus the
@@ -37,8 +34,8 @@ type Envelope struct {
 	Ingested int64 `json:"ingested"`
 	// WalSeq is the durability watermark: the sequence number of the last
 	// WAL close marker whose effects this envelope captures. Recovery
-	// replays records with Seq > WalSeq. Zero in legacy single-file mode
-	// and at genesis.
+	// replays records with Seq > WalSeq. Zero at genesis and for a
+	// controller without a state directory.
 	WalSeq uint64 `json:"walSeq,omitempty"`
 	// Checksum is CRC32C over the envelope's canonical JSON with this
 	// field zeroed; a bit flip anywhere in the file fails verification and
@@ -100,35 +97,4 @@ func decodeSnapshot(data []byte) (*Envelope, error) {
 		return nil, fmt.Errorf("serve: snapshot carries no controller state")
 	}
 	return &env, nil
-}
-
-// SaveSnapshot writes the envelope to path atomically and durably:
-// marshal (with checksum), write to a temp file in the same directory,
-// fsync, rename, fsync the parent directory. A crash mid-save leaves
-// the previous snapshot intact; a reader never observes a partial file;
-// the temp file is removed on every error path.
-func SaveSnapshot(path string, env *Envelope) error {
-	data, err := encodeSnapshot(env)
-	if err != nil {
-		return err
-	}
-	return writeFileAtomic(path, data)
-}
-
-// LoadSnapshot reads an envelope from path. A missing file returns
-// (nil, nil) — the fresh-start case of Open; anything else that fails to
-// parse, verify, or that carries a foreign format version is an error.
-func LoadSnapshot(path string) (*Envelope, error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("serve: read snapshot: %w", err)
-	}
-	env, err := decodeSnapshot(data)
-	if err != nil {
-		return nil, fmt.Errorf("%w (%s)", err, path)
-	}
-	return env, nil
 }
